@@ -286,10 +286,8 @@ def kernel_to_npz(
 ) -> None:
     """Persist a lowered kernel as a compressed ``.npz`` artifact.
 
-    ``metadata`` adds advisory header keys — the compile cache records
-    the fused schedule's ``term_count``/``term_density`` here so the
-    executor selector can read them from the header alone (see
-    :func:`npz_header`) without loading arrays or re-fusing.
+    ``metadata`` adds advisory header keys, readable without loading
+    arrays (see :func:`npz_header`).
     """
     _arrays_to_npz(kernel, path, _KERNEL_KIND, KERNEL_FORMAT_VERSION, extra=metadata)
 
@@ -304,12 +302,11 @@ def kernel_from_npz(path: str | pathlib.Path) -> "LoweredKernel":
 def fused_to_npz(fused: "FusedKernel", path: str | pathlib.Path) -> None:
     """Persist a fused shift-add schedule as a compressed ``.npz`` artifact.
 
-    The header always carries ``term_count`` and ``term_density``
-    (terms over ``rows * cols``) so the fused executor selector can
-    pick its tier from the header alone; artifacts written before this
-    metadata existed simply lack the keys and the selector falls back
-    to counting the loaded term arrays (a graceful backfill — re-stored
-    artifacts pick the metadata up on their next write).
+    The header always carries the advisory ``term_count`` and
+    ``term_density`` (terms over ``rows * cols``); artifacts written
+    before this metadata existed simply lack the keys, and no reader
+    depends on them.  The executor selector needs only
+    ``result_width``, a scalar field of every fused header.
     """
     terms = len(fused.term_out)
     area = int(fused.rows) * int(fused.cols)

@@ -20,10 +20,13 @@ Counted stages:
 * ``"lower"`` — :func:`repro.hwsim.fast.lower` (netlist to flat
   index/opcode arrays);
 * ``"fuse"`` — :func:`repro.hwsim.fused.fuse` (kernel topology to the
-  static CSD shift-add schedule the cycle-loop-free engine executes);
-* ``"codegen"`` — :func:`repro.hwsim.codegen.generate_source` (fused
-  schedule to specialized numpy executor source; cached as a
-  ``.codegen.py`` artifact so warm deploys skip it).
+  static CSD shift-add schedule the cycle-loop-free engine executes).
+
+The fused schedule's executor (the exact float64 fold, or the segmented
+term reduction for wide kernels) is built from the schedule with no
+further stage.  The standalone :mod:`repro.hwsim.codegen` module still
+counts a ``"codegen"`` stage when called directly; no deploy or serving
+path calls it.
 
 The registry is intentionally open: any future stage (RTL emission,
 place-and-route modelling) can count itself without touching this

@@ -386,7 +386,6 @@ class FastCircuit:
         source: CompiledCircuit | LoweredKernel,
         plan=None,
         fused: FusedKernel | None = None,
-        codegen_source: str | None = None,
     ) -> None:
         if isinstance(source, LoweredKernel):
             self.kernel = source
@@ -420,14 +419,9 @@ class FastCircuit:
                 "fused kernel fingerprint does not match the lowered kernel"
             )
         self._fused_kernel = fused
-        #: Cached generated executor source (the ``.codegen.py``
-        #: artifact) — attached by the compile cache so sparse kernels
-        #: skip the ``codegen`` stage on warm deploys.  ``None`` means
-        #: generate on demand if the selector picks that variant.
-        self.codegen_source = codegen_source
         # The executor is built lazily on first fused execution so that
         # attaching artifacts never materializes executor state (e.g.
-        # the dense fold) the selector may decide against.
+        # the dense fold) a gate-engine deployment never uses.
         self._fused_exec: FusedCircuit | None = None
 
     @classmethod
@@ -454,7 +448,7 @@ class FastCircuit:
 
     def _fused_circuit(self) -> FusedCircuit:
         if self._fused_exec is None:
-            self._fused_exec = FusedCircuit(self.fuse(), source=self.codegen_source)
+            self._fused_exec = FusedCircuit(self.fuse())
         return self._fused_exec
 
     @property
@@ -472,7 +466,7 @@ class FastCircuit:
         """The already-built executor's variant, or ``None`` (no forcing).
 
         Telemetry scrapes use this: reporting must never trigger fuse
-        or codegen work on a deployment that has not executed fused.
+        work on a deployment that has not executed fused.
         """
         return self._fused_exec.variant if self._fused_exec is not None else None
 

@@ -10,9 +10,10 @@ topology* — no plan, no netlist, no matrix required — and packages it as
 a :class:`FusedKernel`: per output, the signed CSD terms as flat
 ``(row, shift, sign)`` integer arrays.
 
-Execution (:class:`FusedCircuit`) is then a handful of vectorized int64
-operations over a whole batch — gather the input rows, scale by
-``sign << shift``, segment-sum per output — with **no cycle loop and no
+Execution (:class:`FusedCircuit`) is then one vectorized operation over
+a whole batch — an exact float64 BLAS product with the coefficient
+matrix the terms sum to, or, for kernels too wide for that, a
+gather/scale/segment-sum over the terms — with **no cycle loop and no
 per-cycle allocation**.  Results are bit-exact with every gate-level
 engine (asserted by the cross-engine equivalence suite), including an
 object-dtype fallback for accumulations wider than 62 bits.
@@ -66,19 +67,17 @@ __all__ = [
     "csd_terms",
     "validate_batch",
     "segment_prefixes",
-    "term_density",
     "select_variant",
-    "DENSITY_THRESHOLD",
+    "FOLD_MAX_WIDTH",
 ]
 
 # Op codes for the topological sweep, assigned per kernel slot.
 _OP_NONE, _OP_INPUT, _OP_ADD, _OP_SUB, _OP_NEG, _OP_DFF = range(6)
 
-#: Term-density boundary between the dense fold and the sparse tiers.
-#: Below this fraction of ``rows * cols`` the segmented/generated
-#: executors do strictly less arithmetic than the dense matmul; above
-#: it the BLAS-backed ``batch @ dense`` wins on memory locality.
-DENSITY_THRESHOLD = 0.25
+#: Widest ``result_width`` the float64 fold computes exactly: every
+#: partial sum is an integer of magnitude at most ``2**53`` (see
+#: :func:`select_variant` for the proof).
+FOLD_MAX_WIDTH = 54
 
 
 def segment_prefixes(term_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,27 +96,32 @@ def segment_prefixes(term_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, term_out[starts]
 
 
-def term_density(terms: int, rows: int, cols: int) -> float:
-    """Fraction of the ``rows x cols`` area carrying CSD terms."""
-    area = rows * cols
-    return terms / area if area else 0.0
-
-
 def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
-    """Pick the fused executor variant for a kernel's term statistics.
+    """Pick the fused executor variant for a kernel.
 
-    Pure policy on scalars so callers holding only artifact *metadata*
-    (term count persisted in the ``.npz`` header) can decide without
-    loading term arrays or materializing the dense fold.  ``>62``-bit
-    kernels always run segmented (exact Python integers); sparse
-    schedules (density below :data:`DENSITY_THRESHOLD`) take the
-    generated executor; dense ones keep the BLAS fold.
+    Only ``result_width`` decides.  The term statistics keep the call
+    shape of callers holding artifact metadata and are ignored: the
+    float64 fold outruns the O(terms) executor at every size and
+    sparsity ``benchmarks/bench_fused_sparse.py`` sweeps at batch 64.
+
+    ``result_width <= FOLD_MAX_WIDTH`` selects ``dense``, the float64
+    BLAS fold, and it is exact.  The plan sizes ``result_width`` to
+    hold every column's worst-case range ``[lo_j, hi_j]``, where
+    ``hi_j >= sum_i max(a_hi * c_ij, a_lo * c_ij)`` and ``lo_j`` is the
+    ``min`` counterpart, for inputs in ``[a_lo, a_hi]`` and
+    coefficients ``c``.  Since ``a_lo <= 0 <= a_hi``, each per-row
+    extreme has a fixed sign, so the sum over *any subset* of rows, and
+    each single product, also lies in ``[lo_j, hi_j]``.  At 54 bits that
+    is ``[-2**53, 2**53 - 1]``: every coefficient, product and partial
+    sum a BLAS kernel can form, in any summation order or blocking, is
+    an integer of magnitude at most ``2**53``, exactly representable in
+    float64 (an input is too whenever its row has a nonzero coefficient,
+    and is multiplied by zero otherwise).
+
+    Wider kernels run ``segmented``: int64 up to 62 bits, exact Python
+    integers (object dtype) above.
     """
-    if result_width > 62:
-        return "segmented"
-    if term_density(terms, rows, cols) < DENSITY_THRESHOLD:
-        return "generated"
-    return "dense"
+    return "dense" if result_width <= FOLD_MAX_WIDTH else "segmented"
 
 
 def validate_batch(vectors: np.ndarray, rows: int, input_width: int) -> np.ndarray:
@@ -363,45 +367,33 @@ def fuse(kernel: "LoweredKernel") -> FusedKernel:
 class FusedCircuit:
     """Execute a :class:`FusedKernel`: ``y = Mx`` with no cycle loop.
 
-    Three executor variants, all bit-exact with the gate engines:
+    Two executor variants, both bit-exact with the gate engines:
 
     ``dense``
         The CSD terms are folded once into the per-``(row, out)``
-        integer coefficient matrix they sum to; execution is a single
-        int64 matrix product per batch.  O(rows * cols) per lane
-        regardless of sparsity — fastest when the schedule is dense.
+        coefficient matrix they sum to, held as float64; execution is
+        one BLAS product per batch, ``(batch @ fold).astype(int64)``.
+        Exact for kernels up to :data:`FOLD_MAX_WIDTH` result bits
+        (proof in :func:`select_variant`); forcing it on a wider kernel
+        raises ``ValueError``.
     ``segmented``
         CSR-style: gather the term rows, scale by ``sign << shift``,
         one ``np.add.reduceat`` per batch over the segment boundaries
         from :func:`segment_prefixes`.  O(terms) per lane.  Kernels
-        wider than 62 bits always run this variant over exact Python
-        integers (object dtype), matching the gate engines' decode
-        types; narrow kernels run it in int64 — safe because the NAF
-        absolute-term sum is at most ``4/3`` of the coefficient sum, so
-        every partial sum is bounded by ``(4/3) * 2**61 < 2**63``.
-    ``generated``
-        The schedule compiled to specialized numpy source by
-        :mod:`repro.hwsim.codegen` — same O(terms) arithmetic with the
-        indexing arrays baked in, outputs grouped by term count so each
-        group reduces with a contiguous fixed-width reshape-sum, and
-        degenerate shapes (empty schedule, one term per output)
-        collapsed at generation time.
+        wider than 62 bits run it over exact Python integers (object
+        dtype), matching the gate engines' decode types; narrower ones
+        run it in int64 — safe because the NAF absolute-term sum is at
+        most ``4/3`` of the coefficient sum, so every partial sum is
+        bounded by ``(4/3) * 2**61 < 2**63``.
 
     ``variant="auto"`` (the default) picks via :func:`select_variant`;
-    only the chosen variant's state is materialized, so selecting
-    against the dense fold never allocates it.  Pass ``source=`` to
-    reuse cached generated source (skipping the ``codegen`` stage).
+    only the chosen variant's state is materialized.
     """
 
-    #: Executor variants, in preference order for dense → sparse.
-    VARIANTS = ("dense", "segmented", "generated")
+    #: Executor variants: the exact float64 fold, then the term executor.
+    VARIANTS = ("dense", "segmented")
 
-    def __init__(
-        self,
-        kernel: FusedKernel,
-        variant: str = "auto",
-        source: str | None = None,
-    ) -> None:
+    def __init__(self, kernel: FusedKernel, variant: str = "auto") -> None:
         self.kernel = kernel
         self._wide = kernel.result_width > 62
         if variant == "auto":
@@ -413,19 +405,18 @@ class FusedCircuit:
                 f"unknown fused executor variant {variant!r}; "
                 f"expected one of {('auto',) + self.VARIANTS}"
             )
-        if self._wide and variant != "segmented":
-            raise ValueError(
-                f"kernels wider than 62 bits require the segmented executor, "
-                f"not {variant!r}"
-            )
-        if variant == "generated":
-            from repro.hwsim import codegen  # deferred: codegen imports us
-
-            if source is None:
-                source = codegen.generate_source(kernel)
-            self._generated = codegen.load_execute(source, kernel.fingerprint)
-            self.source = source
-        elif variant == "segmented":
+        if variant == "dense":
+            if kernel.result_width > FOLD_MAX_WIDTH:
+                raise ValueError(
+                    f"the float64 fold is exact only up to {FOLD_MAX_WIDTH}-bit "
+                    f"results; a {kernel.result_width}-bit kernel requires the "
+                    f"segmented executor"
+                )
+            fold = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
+            scaled = kernel.term_sign * np.left_shift(np.int64(1), kernel.term_shift)
+            np.add.at(fold, (kernel.term_row, kernel.term_out), scaled)
+            self._fold = fold.astype(np.float64)
+        else:
             self._starts, self._segment_out = segment_prefixes(kernel.term_out)
             if self._wide:
                 # Exact object path: coefficients as Python integers.
@@ -440,11 +431,6 @@ class FusedCircuit:
                 self._coeff = kernel.term_sign * np.left_shift(
                     np.int64(1), kernel.term_shift
                 )
-        else:
-            dense = np.zeros((kernel.rows, kernel.cols), dtype=np.int64)
-            scaled = kernel.term_sign * np.left_shift(np.int64(1), kernel.term_shift)
-            np.add.at(dense, (kernel.term_row, kernel.term_out), scaled)
-            self._dense = dense
         self.variant = variant
 
     def multiply_batch(self, vectors: np.ndarray) -> np.ndarray:
@@ -461,9 +447,7 @@ class FusedCircuit:
         """Run a pre-validated int64 ``(B, rows)`` batch (the hot path)."""
         kernel = self.kernel
         if self.variant == "dense":
-            return batch @ self._dense
-        if self.variant == "generated":
-            return self._generated(batch)
+            return (batch.astype(np.float64) @ self._fold).astype(np.int64)
         dtype = object if self._wide else np.int64
         out = np.zeros((batch.shape[0], kernel.cols), dtype=dtype)
         if batch.shape[0] == 0 or kernel.terms == 0:

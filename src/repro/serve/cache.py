@@ -18,24 +18,20 @@ via :mod:`repro.core.serialize`:
   the bit-plane engine executes;
 * ``<key>.fused.npz`` — the fused shift-add schedule
   (:class:`~repro.hwsim.fused.FusedKernel`), i.e. what the
-  cycle-loop-free ``engine="fused"`` serving path executes;
-* ``<key>.codegen.py`` — the generated executor source
-  (:mod:`repro.hwsim.codegen`), written only for kernels whose term
-  density selects the ``generated`` fused executor variant.
+  cycle-loop-free ``engine="fused"`` serving path executes.
 
-A *fresh process* deploying a known matrix therefore loads the kernel,
-fused schedule, and (for sparse kernels) generated source, performing
-**zero** planning, ``build_circuit``, lowering, fusing, or codegen work
-(the contract asserted by ``benchmarks/bench_compile_cold_start.py``
-and ``benchmarks/bench_fused_sparse.py`` against
+A *fresh process* deploying a known matrix therefore loads the kernel
+and fused schedule, performing **zero** planning, ``build_circuit``,
+lowering, or fusing work (the contract asserted by
+``benchmarks/bench_compile_cold_start.py`` and
+``benchmarks/bench_fused_sparse.py`` against
 :data:`repro.core.stages.STAGES`); if only the plan survives (older
 store, pruned kernel), it skips re-planning and pays just the mechanical
 netlist build.  A store written before the fused artifact existed
 re-fuses from the loaded kernel (cheap next to a build) and backfills
-the missing artifact; likewise a store without generated source (or
-with stale/foreign source — wrong kind, version, or fingerprint)
-regenerates and backfills, so codegen failures degrade to one
-``codegen`` stage execution, never a wrong executor.
+the missing artifact.  Stores written by older versions may also hold
+``<key>.codegen.py`` executor source; nothing reads it any more, but it
+counts toward its key's size and is deleted with the key on eviction.
 
 The cache compiles deterministically (``rng=None``), so a key always
 names exactly one circuit; stored artifacts are verified on load
@@ -59,7 +55,7 @@ all manifest and artifact writes stage to private temp names and
 never torn);
 after every store or load the cache prunes expired keys and then the
 least-recently-used keys until the store fits the byte budget.  A key's
-plan, kernel, fused, and codegen artifacts are evicted together, so a
+plan, kernel, and fused artifacts are evicted together, so a
 surviving key is always a full-speed kernel hit.  Unbounded stores (no limits set) keep
 the manifest as a cheap per-store record — loads skip manifest work,
 and a later bounded cache over the same directory adopts everything by
@@ -90,10 +86,9 @@ from repro.core.serialize import (
     plan_from_dict,
     plan_to_dict,
 )
-from repro.hwsim import codegen as codegen_mod
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.fast import FastCircuit, LoweredKernel
-from repro.hwsim.fused import FusedKernel, fuse, select_variant, term_density
+from repro.hwsim.fused import FusedKernel, fuse
 
 __all__ = [
     "CompileKey",
@@ -109,8 +104,11 @@ _INDEX_NAME = "index.json"
 
 # Per-key artifact suffixes — the single place the naming scheme lives;
 # CompileKey, eviction, and manifest adoption all derive from this.
-_ARTIFACT_SUFFIXES = (".plan.json", ".kernel.npz", ".fused.npz", ".codegen.py")
-_PLAN_SUFFIX, _KERNEL_SUFFIX, _FUSED_SUFFIX, _CODEGEN_SUFFIX = _ARTIFACT_SUFFIXES
+_PLAN_SUFFIX, _KERNEL_SUFFIX, _FUSED_SUFFIX = ".plan.json", ".kernel.npz", ".fused.npz"
+# Generated executor source written by older stores: never read, but
+# sized and evicted with its key so upgraded stores do not leak it.
+_LEGACY_CODEGEN_SUFFIX = ".codegen.py"
+_ARTIFACT_SUFFIXES = (_PLAN_SUFFIX, _KERNEL_SUFFIX, _FUSED_SUFFIX, _LEGACY_CODEGEN_SUFFIX)
 
 
 @dataclass(frozen=True)
@@ -144,11 +142,6 @@ class CompileKey:
     def fused_filename(self) -> str:
         """Stable on-disk name for this key's persisted fused schedule."""
         return f"{self.stem}{_FUSED_SUFFIX}"
-
-    @property
-    def codegen_filename(self) -> str:
-        """Stable on-disk name for this key's generated executor source."""
-        return f"{self.stem}{_CODEGEN_SUFFIX}"
 
 
 def compile_key(
@@ -189,7 +182,6 @@ def persist_artifacts(
     plan: MatrixPlan,
     kernel: LoweredKernel,
     fused: FusedKernel | None = None,
-    codegen_source: str | None = None,
 ) -> None:
     """Write one compile's artifacts into a store without a cache instance.
 
@@ -215,35 +207,12 @@ def persist_artifacts(
         raise ValueError(
             "fused fingerprint does not match the plan being persisted"
         )
-    if codegen_source is not None:
-        # Validate before publishing: a store must never hold source the
-        # loaders would refuse (or worse, accept for the wrong kernel).
-        header = codegen_mod.source_header(codegen_source)
-        if header["fingerprint"] != fingerprint:
-            raise ValueError(
-                "generated source fingerprint does not match the plan "
-                "being persisted"
-            )
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     atomic_write_text(directory / key.filename, json.dumps(payload))
-    kernel_to_npz(
-        kernel,
-        directory / key.kernel_filename,
-        metadata=_term_metadata(fused) if fused is not None else None,
-    )
+    kernel_to_npz(kernel, directory / key.kernel_filename)
     if fused is not None:
         fused_to_npz(fused, directory / key.fused_filename)
-    if codegen_source is not None:
-        atomic_write_text(directory / key.codegen_filename, codegen_source)
-
-
-def _term_metadata(fused: FusedKernel) -> dict:
-    """Advisory term statistics for a kernel artifact header."""
-    return {
-        "term_count": fused.terms,
-        "term_density": term_density(fused.terms, fused.rows, fused.cols),
-    }
 
 
 @dataclass
@@ -325,7 +294,6 @@ class CompileCache:
         self.hits = 0
         self.kernel_hits = 0
         self.fused_hits = 0
-        self.codegen_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.plan_hits = 0
@@ -385,10 +353,7 @@ class CompileCache:
                 # re-fuse from the loaded kernel and backfill the artifact.
                 fused = fuse(kernel)
                 self._store_fused(key, fused)
-            source, codegen_loaded = self._codegen_for(key, fused)
-            fast = FastCircuit(
-                kernel, plan=plan, fused=fused, codegen_source=source
-            )
+            fast = FastCircuit(kernel, plan=plan, fused=fused)
             entry = CompiledEntry(
                 key=key,
                 plan=plan,
@@ -407,10 +372,8 @@ class CompileCache:
             circuit = build_circuit(plan)
             fast = FastCircuit.from_compiled(circuit)
             fused = fast.fuse()
-            self._store_kernel(key, fast.kernel, fused=fused)
+            self._store_kernel(key, fast.kernel)
             self._store_fused(key, fused)
-            source, codegen_loaded = self._codegen_for(key, fused)
-            fast.codegen_source = source
             entry = CompiledEntry(
                 key=key,
                 plan=plan,
@@ -430,8 +393,6 @@ class CompileCache:
                 self.disk_hits += 1
             else:
                 self.misses += 1
-            if codegen_loaded:
-                self.codegen_hits += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -486,8 +447,7 @@ class CompileCache:
         if fused is None:
             fused = fuse(kernel)
             self._store_fused(key, fused)
-        source, codegen_loaded = self._codegen_for(key, fused)
-        fast = FastCircuit(kernel, plan=plan, fused=fused, codegen_source=source)
+        fast = FastCircuit(kernel, plan=plan, fused=fused)
         entry = CompiledEntry(
             key=key,
             plan=plan,
@@ -501,8 +461,6 @@ class CompileCache:
             self.kernel_hits += 1
             if fused_loaded:
                 self.fused_hits += 1
-            if codegen_loaded:
-                self.codegen_hits += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -582,7 +540,9 @@ class CompileCache:
             "hits": self.hits,
             "kernel_hits": self.kernel_hits,
             "fused_hits": self.fused_hits,
-            "codegen_hits": self.codegen_hits,
+            # No executor source is generated or loaded any more; the
+            # key stays, always 0, for readers of earlier stats.
+            "codegen_hits": 0,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "plan_hits": self.plan_hits,
@@ -662,20 +622,11 @@ class CompileCache:
         self._touch(key)
         return plan, fingerprint
 
-    def _store_kernel(
-        self,
-        key: CompileKey,
-        kernel: LoweredKernel,
-        fused: FusedKernel | None = None,
-    ) -> None:
+    def _store_kernel(self, key: CompileKey, kernel: LoweredKernel) -> None:
         path = self._kernel_path(key)
         if path is None:
             return
-        kernel_to_npz(
-            kernel,
-            path,
-            metadata=_term_metadata(fused) if fused is not None else None,
-        )
+        kernel_to_npz(kernel, path)
         self._touch(key, stored=True)
 
     def _load_kernel(self, key: CompileKey) -> LoweredKernel | None:
@@ -736,62 +687,6 @@ class CompileCache:
             return None
         self._touch(key)
         return fused
-
-    def _codegen_path(self, key: CompileKey) -> pathlib.Path | None:
-        if self.directory is None:
-            return None
-        return self.directory / key.codegen_filename
-
-    def _codegen_for(self, key: CompileKey, fused: FusedKernel) -> tuple[str | None, bool]:
-        """Resolve generated executor source for a fused schedule.
-
-        Returns ``(source, loaded)``: ``source`` is ``None`` whenever
-        the density selector picks a non-``generated`` variant (the
-        selection reads the schedule's term statistics — never the dense
-        fold), and ``loaded`` is True when persisted source was reused
-        (a ``codegen_hits`` cache hit, zero ``codegen`` stage work).
-        """
-        variant = select_variant(
-            fused.terms, fused.rows, fused.cols, fused.result_width
-        )
-        if variant != "generated":
-            return None, False
-        source = self._load_codegen(key, fused.fingerprint)
-        if source is not None:
-            return source, True
-        source = codegen_mod.generate_source(fused)
-        self._store_codegen(key, source)
-        return source, False
-
-    def _store_codegen(self, key: CompileKey, source: str) -> None:
-        """Best-effort persist, same policy as :meth:`_store_fused`:
-        backfills run on warm kernel hits too, so a read-only shared
-        store degrades to regenerating per process, never a failed
-        deploy."""
-        path = self._codegen_path(key)
-        if path is None:
-            return
-        try:
-            atomic_write_text(path, source)
-        except OSError:
-            return
-        self._touch(key, stored=True)
-
-    def _load_codegen(self, key: CompileKey, fingerprint: str) -> str | None:
-        """Load persisted generated source; None on absence or any
-        validation failure — wrong kind, format version, fingerprint, or
-        source that does not compile to an executor — so a stale or
-        foreign file degrades to regeneration, never a wrong executor."""
-        path = self._codegen_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            source = path.read_text()
-            codegen_mod.load_execute(source, fingerprint)
-        except Exception:
-            return None
-        self._touch(key)
-        return source
 
     # -- disk eviction -------------------------------------------------------
 

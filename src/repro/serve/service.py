@@ -166,7 +166,7 @@ def _resolved_multiply(
     ``label`` is the variant-qualified reporting label
     (:meth:`ShardedMultiplier.executor_label`): gate engines verbatim,
     fused execution as ``fused:<variant>`` so telemetry distinguishes
-    the dense fold from the segmented and generated executors.
+    the float64 fold from the segmented executor.
 
     Resolution and execution are not atomic: a fault injected between
     ``resolve_engine("auto") -> "fused"`` and the shard run makes the

@@ -79,9 +79,7 @@ from repro.core.plan import plan_matrix
 from repro.core.serialize import array_from_payload, array_to_payload
 from repro.core.tiling import plan_column_tiles
 from repro.hwsim.builder import CompiledCircuit, build_circuit
-from repro.hwsim.codegen import generate_source
 from repro.hwsim.fast import FastCircuit, LoweredKernel
-from repro.hwsim.fused import select_variant
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
 __all__ = [
@@ -157,19 +155,16 @@ class Shard:
 _WORKER_FAST: FastCircuit | None = None
 
 
-def _process_worker_init(kernel: LoweredKernel, fused, codegen_source=None) -> None:
+def _process_worker_init(kernel: LoweredKernel, fused) -> None:
     """Bind this worker to its shard's kernel (and fused schedule).
 
     ``fused`` is the shard's pre-fused :class:`FusedKernel` when the
     parent had one (compile-cache deployments always do), shipped once
     here so ``engine="fused"`` calls never re-fuse in the worker; a
     worker given ``None`` fuses lazily on first fused execution.
-    ``codegen_source`` likewise ships the parent's generated executor
-    source (a plain string) so sparse shards never re-run the
-    ``codegen`` stage in the worker.
     """
     global _WORKER_FAST
-    _WORKER_FAST = FastCircuit(kernel, fused=fused, codegen_source=codegen_source)
+    _WORKER_FAST = FastCircuit(kernel, fused=fused)
 
 
 def _process_worker_run(
@@ -371,25 +366,12 @@ class ShardedMultiplier:
                         scheme=scheme,
                         tree_style=tree_style,
                     )
-                fused = fast.fuse()
-                if fast.codegen_source is None and (
-                    select_variant(
-                        fused.terms, fused.rows, fused.cols, fused.result_width
-                    )
-                    == "generated"
-                ):
-                    # The fleet resolves *all* of a shard's artifacts
-                    # from the store, so a sparse shard's generated
-                    # source must land there too — otherwise every
-                    # server pays one codegen per deploy.
-                    fast.codegen_source = generate_source(fused)
                 persist_artifacts(
                     store_dir,
                     compile_key(piece, input_width, scheme, tree_style),
                     plan,
                     fast.kernel,
-                    fused,
-                    codegen_source=fast.codegen_source,
+                    fast.fuse(),
                 )
             self.shards.append(
                 Shard(index=k, start=start, stop=stop, circuit=circuit, fast=fast)
@@ -407,7 +389,7 @@ class ShardedMultiplier:
                 ProcessPoolExecutor(
                     max_workers=1,
                     initializer=_process_worker_init,
-                    initargs=(shard.kernel, shard.fast.fused, shard.fast.codegen_source),
+                    initargs=(shard.kernel, shard.fast.fused),
                 )
                 for shard in self.shards
             ]
@@ -558,8 +540,8 @@ class ShardedMultiplier:
         """The fused executor variant this deployment runs.
 
         One of :attr:`~repro.hwsim.fused.FusedCircuit.VARIANTS`, or
-        ``"mixed"`` when column shards resolve differently (shard term
-        densities straddle the selector threshold).  Forces each
+        ``"mixed"`` when column shards resolve differently (shard result
+        widths straddle the float64 fold's exactness gate).  Forces each
         shard's fused executor to build — call only when fused
         execution is (about to be) live.
         """
@@ -571,8 +553,8 @@ class ShardedMultiplier:
 
         Gate engines pass through unchanged; ``"fused"`` gains its
         executor variant (``fused:dense`` / ``fused:segmented`` /
-        ``fused:generated`` / ``fused:mixed``) so telemetry, spans, and
-        cluster STATS say which code actually ran.  The *execution*
+        ``fused:mixed``) so telemetry, spans, and cluster STATS say
+        which code actually ran.  The *execution*
         engine strings (:attr:`FastCircuit.ENGINES`) are unchanged —
         this is a reporting label, never an engine name.
         """

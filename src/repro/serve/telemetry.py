@@ -194,8 +194,8 @@ class DeploymentTelemetry:
         # gate-level engine, and an operator should be able to see both
         # the current choice and the history on the dashboard.  Fused
         # batches arrive variant-qualified ("fused:dense" /
-        # "fused:segmented" / "fused:generated" / "fused:mixed") so the
-        # dashboard also distinguishes which fused executor ran.
+        # "fused:segmented" / "fused:mixed") so the dashboard also
+        # distinguishes which fused executor ran.
         self.engine_batches: dict[str, int] = {}
         self.effective_engine: str | None = None
         # Zero-downtime matrix swaps this deployment has been through —
@@ -293,7 +293,14 @@ class DeploymentTelemetry:
         return self._clock() - self._started
 
     def snapshot(self) -> dict:
-        """Point-in-time metrics dict (JSON-serializable)."""
+        """Point-in-time metrics dict (JSON-serializable).
+
+        Counters are copied under the telemetry lock, so they reconcile
+        with each other exactly.  The latency percentiles and windowed
+        rates are computed after it is released (their windows carry
+        their own locks): a busy reader must not hold recorders up for
+        the length of a percentile pass.
+        """
         with self._lock:
             elapsed = max(self.uptime_s, 1e-9)
             occupancy = (
@@ -301,7 +308,7 @@ class DeploymentTelemetry:
                 if self.batches
                 else 0.0
             )
-            return {
+            snap = {
                 "uptime_s": round(elapsed, 6),
                 "batching": {
                     "max_batch": self.max_batch,
@@ -331,11 +338,12 @@ class DeploymentTelemetry:
                 # Lifetime average — kept for continuity, but it decays
                 # toward zero over any idle stretch and never recovers.
                 "throughput_rps": round(self.products / elapsed, 3),
-                # Windowed rates: what's happening *now*.  These are the
-                # signals the adaptive controller and the fleet rollup
-                # (repro.obs.metrics) actually consume.
-                "throughput_rps_windowed": round(self._completions.rate(), 3),
-                "arrival_rate_rps": round(self._arrivals.rate(), 3),
-                "latency_s": self._latency.summary(),
                 "lane_occupancy": round(occupancy, 4),
             }
+        # Windowed rates: what's happening *now*.  These are the
+        # signals the adaptive controller and the fleet rollup
+        # (repro.obs.metrics) actually consume.
+        snap["throughput_rps_windowed"] = round(self._completions.rate(), 3)
+        snap["arrival_rate_rps"] = round(self._arrivals.rate(), 3)
+        snap["latency_s"] = self._latency.summary()
+        return snap

@@ -1,19 +1,21 @@
-"""Cross-executor equivalence for the fused engine's three variants.
+"""Cross-executor equivalence for the fused engine's two variants.
 
-The fused engine now carries three executors — the dense fold, the
-CSR-style segmented reduction, and the codegen'd specialized module —
-plus a density-driven selector.  The load-bearing property is that all
-three are *interchangeable*: bit-exact with each other, with the
-bit-plane gate oracle, and with a golden integer matmul, across the
-same design space the original cross-engine sweep covers (sparsity,
-input width, recoding scheme, signed edges, word-boundary batches,
-degenerate schedules).  The selector itself is pure policy on scalars,
-tested directly; codegen is tested for determinism and for the loader's
+The fused engine carries two executors — the exact float64 fold and the
+CSR-style segmented reduction — plus a selector gated on the kernel's
+result width.  The load-bearing properties are that both are
+*interchangeable* wherever the fold is allowed (bit-exact with each
+other, with the bit-plane gate oracle, and with a golden integer
+matmul, across sparsity, input width, recoding scheme, signed edges,
+word-boundary batches and degenerate schedules), and that the gate is
+exact at its numeric boundary: 54 result bits take the fold, 55 do not.
+The standalone :mod:`repro.hwsim.codegen` module, which no executor
+uses any more, is still tested for determinism and for the loader's
 refuse-on-mismatch contract.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bits import signed_range
 from repro.core.plan import plan_matrix
@@ -22,15 +24,14 @@ from repro.hwsim import codegen
 from repro.hwsim.builder import build_circuit
 from repro.hwsim.fast import FastCircuit, lower
 from repro.hwsim.fused import (
-    DENSITY_THRESHOLD,
+    FOLD_MAX_WIDTH,
     FusedCircuit,
     fuse,
     segment_prefixes,
     select_variant,
-    term_density,
 )
 
-NARROW_VARIANTS = FusedCircuit.VARIANTS  # all three run on <=62-bit kernels
+NARROW_VARIANTS = FusedCircuit.VARIANTS  # both run on <=54-bit kernels
 
 
 def _compiled(matrix, input_width=8, scheme="csd"):
@@ -48,8 +49,19 @@ def _fused(matrix, input_width=8, scheme="csd"):
     return fuse(lower(_compiled(matrix, input_width=input_width, scheme=scheme)))
 
 
+def _golden(vectors, matrix):
+    """Exact ``x @ M`` over Python integers, valid at any width."""
+    return np.asarray(vectors).astype(object) @ np.asarray(matrix).astype(object)
+
+
+def _same(out, golden) -> bool:
+    return out.shape == golden.shape and all(
+        int(a) == int(b) for a, b in zip(out.ravel(), golden.ravel())
+    )
+
+
 class TestCrossExecutorEquivalence:
-    """dense == segmented == generated == bitplane == golden."""
+    """dense == segmented == bitplane == golden."""
 
     @pytest.mark.parametrize("scheme", ["csd", "pn"])
     @pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.95])
@@ -155,10 +167,9 @@ class TestCrossExecutorEquivalence:
             for j in range(5)
         ]
         assert [int(x) for x in out.ravel()] == golden
-        # The other tiers refuse rather than overflow silently.
-        for variant in ("dense", "generated"):
-            with pytest.raises(ValueError, match="segmented"):
-                FusedCircuit(fused, variant=variant)
+        # The fold refuses rather than round silently.
+        with pytest.raises(ValueError, match="segmented"):
+            FusedCircuit(fused, variant="dense")
         with pytest.raises(ValueError, match="62"):
             codegen.generate_source(fused)
 
@@ -186,20 +197,18 @@ class TestSelectorPolicy:
         assert select_variant(0, 4, 4, 63) == "segmented"
         assert select_variant(10**6, 100, 100, 80) == "segmented"
 
-    def test_sparse_schedules_take_the_generated_tier(self):
-        # 10 terms over a 100-area matrix: density 0.1 < threshold.
-        assert select_variant(10, 10, 10, 32) == "generated"
-        assert select_variant(0, 10, 10, 32) == "generated"
-
     def test_dense_schedules_keep_the_blas_fold(self):
+        """Up to the exact-float64 gate at 54 result bits, inclusive."""
         assert select_variant(100, 10, 10, 32) == "dense"
-        # Exactly at the threshold counts as dense (strict less-than).
-        at = int(DENSITY_THRESHOLD * 100)
-        assert select_variant(at, 10, 10, 32) == "dense"
+        assert select_variant(10**6, 100, 100, 54) == "dense"
+        assert select_variant(10**6, 100, 100, 55) == "segmented"
 
-    def test_density_of_an_empty_matrix_is_zero(self):
-        assert term_density(0, 0, 5) == 0.0
-        assert term_density(0, 5, 0) == 0.0
+    def test_term_statistics_do_not_decide(self):
+        """Sparse, empty and dense schedules all take the fold when the
+        width allows it; only ``result_width`` moves the choice."""
+        for terms, rows, cols in ((0, 10, 10), (10, 10, 10), (10**4, 10, 10), (0, 0, 5)):
+            assert select_variant(terms, rows, cols, 32) == "dense"
+            assert select_variant(terms, rows, cols, 55) == "segmented"
 
     def test_auto_variant_matches_the_selector(self):
         rng = np.random.default_rng(21)
@@ -215,6 +224,123 @@ class TestSelectorPolicy:
         fused = _fused(np.eye(3, dtype=int))
         with pytest.raises(ValueError, match="variant"):
             FusedCircuit(fused, variant="quantum")
+        # The generated tier is gone from the executor.
+        with pytest.raises(ValueError, match="variant"):
+            FusedCircuit(fused, variant="generated")
+
+
+def _boundary_matrix(result_width: int, input_width: int = 8) -> np.ndarray:
+    """A 4x3 matrix whose pn plan is exactly ``result_width`` bits wide.
+
+    Column 0 is four equal powers of two summing to
+    ``2**(result_width - input_width)``, so all-minimum inputs land it
+    exactly on the signed bound ``-2**(result_width - 1)``.  Column 1
+    shaves one off the last entry, so all-maximum inputs give an odd sum
+    (above ``2**53`` from 55 bits up, where float64 cannot hold it), and
+    column 2 negates column 1 to drive the positive side.
+    """
+    unit = 1 << (result_width - input_width - 2)
+    rows = [[unit, unit, -unit]] * 3 + [[unit, unit - 1, -(unit - 1)]]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestExactFoldGate:
+    """Real kernels (plan -> build -> lower -> fuse) either side of the
+    54-bit fold gate and the 62-bit int64 limit, driven at the extremes."""
+
+    @staticmethod
+    def _compile(result_width):
+        matrix = _boundary_matrix(result_width)
+        plan = plan_matrix(matrix, input_width=8, scheme="pn")
+        assert plan.result_width == result_width
+        fast = FastCircuit.from_compiled(build_circuit(plan))
+        return matrix, fast, fast.fuse()
+
+    @staticmethod
+    def _extremes(rows=4):
+        lo, hi = signed_range(8)
+        return np.array([[lo] * rows, [hi] * rows, [lo, hi] * (rows // 2)])
+
+    def test_column_sum_lands_on_the_bound(self):
+        for width in (54, 55, 62, 63):
+            matrix = _boundary_matrix(width)
+            golden = _golden(self._extremes(), matrix)
+            assert golden[0, 0] == -(2 ** (width - 1))
+
+    def test_54_bits_take_the_fold_and_are_bit_exact(self):
+        matrix, fast, fused = self._compile(54)
+        circuit = FusedCircuit(fused)
+        assert circuit.variant == "dense"
+        vectors = self._extremes()
+        golden = _golden(vectors, matrix)
+        out = circuit.multiply_batch(vectors)
+        assert out.dtype == np.int64 and _same(out, golden)
+        assert _same(fast.multiply_batch(vectors, engine="bitplane"), golden)
+        assert _same(FusedCircuit(fused, variant="segmented").execute(vectors), golden)
+
+    @pytest.mark.parametrize("width", [55, 62, 63])
+    def test_wider_kernels_segment_and_match_the_object_golden(self, width):
+        matrix, fast, fused = self._compile(width)
+        circuit = FusedCircuit(fused)
+        assert circuit.variant == "segmented"
+        vectors = self._extremes()
+        golden = _golden(vectors, matrix)
+        out = circuit.multiply_batch(vectors)
+        assert out.dtype == (np.int64 if width <= 62 else object)
+        assert _same(out, golden)
+        assert _same(fast.multiply_batch(vectors, engine="bitplane"), golden)
+        # An unguarded float64 product would round the odd column-1 sum.
+        rounded = (vectors.astype(np.float64) @ matrix.astype(np.float64)).astype(
+            np.int64
+        )
+        assert not _same(rounded, golden)
+
+    @pytest.mark.parametrize("width", [55, 62, 63])
+    def test_forcing_the_fold_above_the_gate_raises(self, width):
+        _, _, fused = self._compile(width)
+        with pytest.raises(ValueError, match="segmented"):
+            FusedCircuit(fused, variant="dense")
+
+
+@st.composite
+def _fold_case(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 5))
+    input_width = draw(st.integers(1, 24))
+    magnitude_bits = draw(st.integers(1, 40))
+    sparsity = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    bound = 1 << magnitude_bits
+    matrix = rng.integers(-bound, bound + 1, size=(rows, cols))
+    matrix[rng.random((rows, cols)) < sparsity] = 0
+    batch = draw(st.sampled_from([0, 1, 63, 64, 65]))
+    lo, hi = signed_range(input_width)
+    vectors = rng.integers(lo, hi + 1, size=(batch, rows))
+    if batch >= 2:
+        vectors[0, :], vectors[1, :] = lo, hi
+    scheme = draw(st.sampled_from(["pn", "csd"]))
+    return matrix, input_width, scheme, vectors
+
+
+class TestFoldProperty:
+    @given(case=_fold_case())
+    @settings(max_examples=40, deadline=None)
+    def test_fold_segmented_and_golden_agree(self, case):
+        """Either side of the gate: the selected executor and segmented
+        match golden ``x @ M``; the fold is used exactly when allowed."""
+        matrix, input_width, scheme, vectors = case
+        fused = _fused(matrix, input_width=input_width, scheme=scheme)
+        golden = _golden(vectors, matrix)
+        assert _same(FusedCircuit(fused, variant="segmented").multiply_batch(vectors), golden)
+        auto = FusedCircuit(fused)
+        assert auto.variant == (
+            "dense" if fused.result_width <= FOLD_MAX_WIDTH else "segmented"
+        )
+        assert _same(auto.multiply_batch(vectors), golden)
+        if fused.result_width > FOLD_MAX_WIDTH:
+            with pytest.raises(ValueError, match="segmented"):
+                FusedCircuit(fused, variant="dense")
 
 
 class TestCodegen:
@@ -267,15 +393,14 @@ class TestCodegen:
             codegen.load_execute(header_only, fused.fingerprint)
 
     def test_precompiled_source_skips_regeneration(self):
-        """FusedCircuit(source=...) must not re-enter the codegen stage."""
+        """Loading existing source must not re-enter the codegen stage."""
         fused = _fused(np.eye(4, dtype=int) * 9)
         source = codegen.generate_source(fused)
         before = STAGES.snapshot()
-        circuit = FusedCircuit(fused, variant="generated", source=source)
+        execute = codegen.load_execute(source, fused.fingerprint)
         assert STAGES.delta(before).get("codegen", 0) == 0
-        assert circuit.source == source
         vectors = np.arange(8).reshape(2, 4)
-        assert np.array_equal(circuit.multiply_batch(vectors), vectors @ (np.eye(4, dtype=int) * 9))
+        assert np.array_equal(execute(vectors), vectors @ (np.eye(4, dtype=int) * 9))
 
 
 class TestFastCircuitVariantSurface:

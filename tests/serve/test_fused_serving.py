@@ -9,18 +9,23 @@ The serve layer's contract for the cycle-loop-free engine:
   simulation — and flips back when the faults are reverted;
 * a warm artifact store makes a ``use_cache=True`` deploy perform
   **zero** plan/build/lower/fuse stage executions (proved against
-  :data:`repro.core.stages.STAGES`, not timings);
+  :data:`repro.core.stages.STAGES`, not timings), including stores
+  written by older versions that still hold ``.codegen.py`` executor
+  source, which is ignored and evicted with its key;
 * process-backend shards return results through shared memory (int64
   column slices written in place; >62-bit shards fall back to pickled
   exact integers).
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.serialize import fused_from_npz
 from repro.core.stages import STAGES
+from repro.hwsim import codegen
 from repro.hwsim.faults import inject_stuck_output
 from repro.serve import CompileCache, MatMulService
 from repro.serve.shards import SERVE_ENGINES, ShardedMultiplier
@@ -196,6 +201,9 @@ class TestWarmStartContract:
             assert cache.kernel_hits == 2
             assert cache.fused_hits == 2
             assert cache.stats()["fused_hits"] == 2
+            # The schedule is the last artifact: no executor source.
+            assert not list(tmp_path.glob("*.codegen.py"))
+            assert cache.stats()["codegen_hits"] == 0
             vectors = np.random.default_rng(13).integers(-128, 128, size=(4, 16))
             assert np.array_equal(service.multiply(handle, vectors), vectors @ matrix)
             assert (
@@ -242,6 +250,57 @@ class TestWarmStartContract:
         assert np.array_equal(
             entry.fast.multiply_batch(vectors, engine="fused"), vectors @ a
         )
+
+
+def _add_legacy_source(directory) -> dict:
+    """Write ``<key>.codegen.py`` beside every fused schedule in a store,
+    as the removed generated tier did; returns ``{stem: source}``."""
+    written = {}
+    for path in directory.glob("*.fused.npz"):
+        stem = path.name[: -len(".fused.npz")]
+        source = codegen.generate_source(fused_from_npz(path))
+        (directory / f"{stem}.codegen.py").write_text(source)
+        written[stem] = source
+    return written
+
+
+class TestLegacyCodegenStore:
+    """Stores written before the generated executor tier was removed
+    hold ``<key>.codegen.py`` next to their other artifacts."""
+
+    def test_legacy_store_warm_starts_with_zero_stages(self, tmp_path):
+        matrix = _matrix(22)
+        with MatMulService(cache=CompileCache(directory=tmp_path)) as warmer:
+            warmer.deploy(matrix, shards=2)
+        legacy = _add_legacy_source(tmp_path)
+        assert len(legacy) == 2
+        before = STAGES.snapshot()
+        cache = CompileCache(directory=tmp_path)
+        with MatMulService(cache=cache) as service:
+            handle = service.deploy(matrix, shards=2)
+            delta = STAGES.delta(before)
+            for stage in ("plan", "build", "lower", "fuse", "codegen"):
+                assert delta.get(stage, 0) == 0, (stage, delta)
+            assert cache.kernel_hits == 2 and cache.fused_hits == 2
+            assert cache.stats()["codegen_hits"] == 0
+            vectors = np.random.default_rng(23).integers(-128, 128, size=(4, 16))
+            assert np.array_equal(service.multiply(handle, vectors), vectors @ matrix)
+            assert service.telemetry(handle)["engine"]["effective"] == "fused:dense"
+        # Ignored, not rewritten: the legacy files are exactly as left.
+        for stem, source in legacy.items():
+            assert (tmp_path / f"{stem}.codegen.py").read_text() == source
+
+    def test_disk_eviction_deletes_the_stale_codegen_file(self, tmp_path):
+        old = CompileCache(directory=tmp_path).get(_matrix(24)).key
+        (stale,) = [tmp_path / f"{stem}.codegen.py" for stem in _add_legacy_source(tmp_path)]
+        assert stale.name == f"{old.stem}.codegen.py"
+        cache = CompileCache(directory=tmp_path, max_age_s=0.05)
+        time.sleep(0.12)
+        cache.get(_matrix(25))  # the store prunes the expired key
+        assert not stale.exists()
+        assert not (tmp_path / old.kernel_filename).exists()
+        assert not (tmp_path / old.fused_filename).exists()
+        assert cache.evicted_keys == 1
 
 
 class TestProcessBackendResults:
