@@ -25,7 +25,12 @@ active.  The default ``engine="auto"`` deployment (fused shift-add
 schedule, no cycle loop) is measured alongside and recorded in the
 JSON without an assertion — per-request overhead, not hardware time,
 dominates there, so batching matters far less (that engine's own bar
-lives in ``BENCH_engine_fused.json``).
+lives in ``BENCH_engine_fused.json``).  For it the record keeps the
+per-request cost of both paths in microseconds — ``submit_many`` of the
+64 requests and one synchronous 64-row ``multiply`` — and their ratio,
+the serving overhead per request relative to the direct batched call.
+The environment (cores, BLAS threads, versions, commit) is recorded
+under ``env``.
 
 Run::
 
@@ -35,6 +40,7 @@ Run::
 import asyncio
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -43,6 +49,9 @@ import pytest
 from repro.serve import MatMulService
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+from perfbench.env import environment  # noqa: E402  (the shared env record)
+
 OFFERED_BATCH = 64
 SHARDS = 2
 REQUIRED_SPEEDUP = 4.0
@@ -114,6 +123,24 @@ def test_micro_batched_throughput(deployed):
             lambda: asyncio.run(service.submit_many(fused_handle, vectors)),
             repeats=3,
         ),
+        "sync_batch_multiply": _best_of(
+            lambda: service.multiply(fused_handle, vectors), repeats=50
+        ),
+    }
+
+    async def best_submit_many(repeats=50):
+        # Timed inside one running loop, so event-loop setup is not
+        # charged to the requests; a wave is ~2 ms, so 50 are cheap.
+        best = float("inf")
+        for __ in range(repeats):
+            start = time.perf_counter()
+            await service.submit_many(fused_handle, vectors)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    per_request_us = {
+        "submit_many": asyncio.run(best_submit_many()) / OFFERED_BATCH * 1e6,
+        "sync_multiply": fused_seconds["sync_batch_multiply"] / OFFERED_BATCH * 1e6,
     }
 
     record = {
@@ -135,9 +162,14 @@ def test_micro_batched_throughput(deployed):
             "requests_per_second": {
                 k: round(OFFERED_BATCH / v, 1) for k, v in fused_seconds.items()
             },
+            "per_request_us": {k: round(v, 3) for k, v in per_request_us.items()},
+            "served_over_sync_per_request": round(
+                per_request_us["submit_many"] / per_request_us["sync_multiply"], 2
+            ),
         },
         "batcher_mean_occupancy": telemetry["batcher"]["mean_occupancy"],
         "cache": service.cache.stats(),
+        "env": environment(REPO_ROOT),
     }
     out_path = REPO_ROOT / "BENCH_serve_throughput.json"
     out_path.write_text(json.dumps(record, indent=2) + "\n")

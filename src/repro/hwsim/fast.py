@@ -80,7 +80,13 @@ from repro.hwsim.components import (
     SerialNegator,
     SerialSubtractor,
 )
-from repro.hwsim.fused import FusedCircuit, FusedKernel, fuse, validate_batch
+from repro.hwsim.fused import (
+    FaultRefusal,
+    FusedCircuit,
+    FusedKernel,
+    fuse,
+    validate_batch,
+)
 
 __all__ = [
     "FastCircuit",
@@ -553,17 +559,34 @@ class FastCircuit:
 
         All engines validate identically and produce bit-identical
         results, including (for the gate-level engines) under injected
-        faults.
+        faults.  Invalid input raises ``ValueError``; out-of-range
+        values raise :class:`~repro.hwsim.fused.InputRangeError`
+        naming the offending rows.
+        """
+        return self.execute(self._validate_batch(vectors), engine, overrides)
+
+    def execute(
+        self,
+        batch: np.ndarray,
+        engine: str = "bitplane",
+        overrides: tuple[list, dict] | None = None,
+    ) -> np.ndarray:
+        """Run a pre-validated int64 ``(B, rows)`` batch (the hot path).
+
+        :meth:`multiply_batch` is this plus validation; callers that
+        validated the batch once for every shard (the serve layer's
+        :meth:`~repro.serve.shards.ShardedMultiplier.multiply_batch`)
+        call this directly.  ``engine="fused"`` with faults active
+        raises :class:`~repro.hwsim.fused.FaultRefusal`.
         """
         if engine not in self.ENGINES:
             raise ValueError(f"engine must be one of {self.ENGINES}, got {engine!r}")
-        batch = self._validate_batch(vectors)
         if engine == "fused":
             stuck_out, carry = (
                 overrides if overrides is not None else self.fault_overrides()
             )
             if stuck_out or any(carry.values()):
-                raise ValueError(
+                raise FaultRefusal(
                     "engine='fused' executes the static shift-add schedule and "
                     "cannot apply faults; use a gate-level engine "
                     f"{self.FAULT_CAPABLE_ENGINES}"

@@ -66,6 +66,8 @@ __all__ = [
     "fuse",
     "csd_terms",
     "validate_batch",
+    "InputRangeError",
+    "FaultRefusal",
     "segment_prefixes",
     "select_variant",
     "FOLD_MAX_WIDTH",
@@ -124,26 +126,75 @@ def select_variant(terms: int, rows: int, cols: int, result_width: int) -> str:
     return "dense" if result_width <= FOLD_MAX_WIDTH else "segmented"
 
 
+class InputRangeError(ValueError):
+    """Rows of a batch hold inputs outside ``s{input_width}``.
+
+    ``bad`` maps each offending row (its index in the batch that was
+    validated) to its first out-of-range value, so a caller that
+    coalesced independent requests can fail exactly those rows
+    (:meth:`row_error`) and run the rest.
+    """
+
+    def __init__(self, bad: dict[int, int], input_width: int) -> None:
+        self.bad = dict(bad)
+        self.input_width = int(input_width)
+        value = next(iter(self.bad.values()))
+        super().__init__(
+            f"input {value} does not fit in s{self.input_width} "
+            f"(batch rows {self.rows})"
+        )
+
+    @property
+    def rows(self) -> list[int]:
+        return sorted(self.bad)
+
+    def row_error(self, row: int) -> ValueError:
+        """The error one offending row's own caller sees."""
+        return ValueError(
+            f"input {self.bad[row]} does not fit in s{self.input_width}"
+        )
+
+
+class FaultRefusal(ValueError):
+    """The fused schedule was asked to run with faults active.
+
+    Faults break the static shift-add schedule, so the request must run
+    on a gate-level engine instead; a caller that resolved ``"auto"`` to
+    ``"fused"`` retries on this error, and only on this error.
+    """
+
+
 def validate_batch(vectors: np.ndarray, rows: int, input_width: int) -> np.ndarray:
     """Shape/range checks shared by every engine (gate-level and fused).
 
-    Returns the batch as a 2-D int64 array; raises ``ValueError`` for
-    anything that is not a ``(batch, rows)`` set of ``s{input_width}``
-    vectors.
+    Returns the batch as a 2-D int64 array (the input itself, uncopied,
+    when it already is one).  Raises ``ValueError`` for anything that is
+    not a ``(batch, rows)`` array, and :class:`InputRangeError` naming
+    the offending rows when values do not fit ``s{input_width}``.  The
+    range screen is one min/max pass; offending rows are located only
+    on failure.
     """
-    arr = np.atleast_2d(np.asarray(vectors))
+    arr = np.asarray(vectors)
+    if arr.ndim == 1:
+        arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError(
             f"expected a (batch, rows) array of vectors, got shape {arr.shape}"
         )
     if arr.shape[1] != rows:
-        raise ValueError(f"vector length {arr.shape[1]} != matrix rows {rows}")
-    arr = arr.astype(np.int64)
+        raise ValueError(
+            f"vector length {arr.shape[1]} != matrix rows {rows} "
+            f"(expected shape (batch, {rows}), got {arr.shape})"
+        )
+    if arr.dtype != np.int64:
+        arr = arr.astype(np.int64)
     lo, hi = signed_range(input_width)
-    bad = (arr < lo) | (arr > hi)
-    if np.any(bad):
-        v = int(arr[bad][0])
-        raise ValueError(f"input {v} does not fit in s{input_width}")
+    if arr.size and (arr.min() < lo or arr.max() > hi):
+        mask = (arr < lo) | (arr > hi)
+        bad_rows = np.flatnonzero(mask.any(axis=1))
+        raise InputRangeError(
+            {int(r): int(arr[r][mask[r]][0]) for r in bad_rows}, input_width
+        )
     return arr
 
 
@@ -264,14 +315,15 @@ def fuse(kernel: "LoweredKernel") -> FusedKernel:
     output probe (deflated by the decode window) is that output's exact
     integer coefficient per row, re-encoded as CSD terms.
 
-    Raises ``ValueError`` for kernels with a fault snapshot (a stuck
-    gate is not a linear map — run those on the gate-level engines) and
-    for topologies this builder never produces (unordered operands,
-    coefficients not divisible by the decode window).
+    Raises :class:`FaultRefusal` for kernels with a fault snapshot (a
+    stuck gate is not a linear map — run those on the gate-level
+    engines) and ``ValueError`` for topologies this builder never
+    produces (unordered operands, coefficients not divisible by the
+    decode window).
     """
     STAGES.increment("fuse")
     if kernel.has_faults:
-        raise ValueError(
+        raise FaultRefusal(
             "cannot fuse a kernel with a fault snapshot; faults break the "
             "static shift-add schedule — execute it on a gate-level engine"
         )

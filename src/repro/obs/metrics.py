@@ -128,7 +128,7 @@ class FleetMetrics:
         deployments = (service or {}).get("deployments", {})
         engine_batches: dict[str, int] = {}
         requests = products = batches = arrivals = 0
-        sheds = quota_rejections = expired = 0
+        sheds = quota_rejections = expired = failed = 0
         arrival = served = 0.0
         shard_links = healthy_links = fallbacks = revivals = 0
         for snap in deployments.values():
@@ -140,6 +140,7 @@ class FleetMetrics:
             sheds += admission.get("sheds", 0)
             quota_rejections += admission.get("quota_rejections", 0)
             expired += admission.get("expired", 0)
+            failed += admission.get("failed", 0)
             arrival += snap.get("arrival_rate_rps", 0.0)
             served += snap.get("throughput_rps_windowed", 0.0)
             for engine, count in snap.get("engine", {}).get("batches", {}).items():
@@ -172,8 +173,9 @@ class FleetMetrics:
             "batches": batches,
             # Lifetime offered load: the denominator availability SLOs
             # delta against (arrivals == requests + sheds + quota +
-            # expired for a quiesced deployment).
+            # expired + failed for a quiesced deployment).
             "arrivals": arrivals,
+            "failed": failed,
             "arrival_rate_rps": round(arrival, 3),
             "throughput_rps_windowed": round(served, 3),
             "engine_batches": engine_batches,

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.hwsim.fused import InputRangeError
 from repro.serve.admission import DeadlineExceeded
 
 __all__ = ["BatcherStats", "MicroBatcher"]
@@ -122,7 +123,13 @@ class MicroBatcher:
 
         With a ``validate`` callable installed, a malformed vector raises
         here — to its own caller only — instead of poisoning the batch it
-        would have been coalesced into.
+        would have been coalesced into; the service installs an O(1)
+        shape check.  Value errors surface later, from ``execute`` on
+        the coalesced batch: an
+        :class:`~repro.hwsim.fused.InputRangeError` fails only the rows
+        it names (each caller sees ``input … does not fit in sN``) and
+        the rest of the batch is executed again without them.  Any
+        other ``execute`` error fails every request in the batch.
 
         ``span`` is the request's root :class:`SpanContext` (the
         service's ``request`` span); with a tracer configured it
@@ -363,8 +370,25 @@ class MicroBatcher:
                 # deployments keep calling plain ``execute(vectors)``
                 # (and ``execute(vectors, trace=...)``) callables.
                 kwargs["deadline_s"] = budget
-            run = functools.partial(self._execute, vectors, **kwargs)
-            results = await loop.run_in_executor(None, run)
+            while True:
+                run = functools.partial(self._execute, vectors, **kwargs)
+                try:
+                    results = await loop.run_in_executor(None, run)
+                    break
+                except InputRangeError as exc:
+                    # The executor range-checks the coalesced batch once;
+                    # only the rows it names fail, each with its own
+                    # message, and the rest of the batch runs again.
+                    keep = np.ones(len(batch), dtype=bool)
+                    keep[exc.rows] = False
+                    for row in exc.rows:
+                        future = batch[row][1]
+                        if not future.done():
+                            future.set_exception(exc.row_error(row))
+                    batch = [e for e, k in zip(batch, keep) if k]
+                    if not batch:
+                        return
+                    vectors = vectors[keep]
         except Exception as exc:  # propagate to every caller in the batch
             if coalesce is not None:
                 coalesce.annotate(error=f"{type(exc).__name__}: {exc}")

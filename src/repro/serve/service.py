@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.serialize import matrix_digest
+from repro.hwsim.fused import FaultRefusal
 from repro.obs.tracing import Span, SpanContext, Tracer
 from repro.reservoir.hw_esn import HardwareESN
 from repro.reservoir.quantize import IntegerESN
@@ -170,10 +171,13 @@ def _resolved_multiply(
 
     Resolution and execution are not atomic: a fault injected between
     ``resolve_engine("auto") -> "fused"`` and the shard run makes the
-    fused engine refuse mid-batch.  For ``"auto"`` deployments that
-    refusal is retried on the gate engine — the fallback stays
-    transparent under concurrent fault injection instead of failing the
-    whole coalesced batch.  Explicitly pinned engines keep the refusal.
+    fused engine refuse mid-batch with
+    :class:`~repro.hwsim.fused.FaultRefusal`.  For ``"auto"``
+    deployments that refusal — and only that one — is retried on the
+    gate engine, so the fallback stays transparent under concurrent
+    fault injection while invalid input fails at once instead of being
+    re-run on the gate path.  Explicitly pinned engines keep the
+    refusal.
 
     ``trace`` (an optional span context) threads straight through to
     the shard executor — see :meth:`ShardedMultiplier.multiply_batch`.
@@ -184,7 +188,7 @@ def _resolved_multiply(
             batch, engine=effective, trace=trace, deadline_s=deadline_s
         )
         return sharded.executor_label(effective), out
-    except ValueError:
+    except FaultRefusal:
         if engine != "auto" or effective != "fused":
             raise
         return "bitplane", sharded.multiply_batch(
@@ -546,7 +550,10 @@ class MatMulService:
 
         The new matrix must have the same number of rows — the served
         interface queued requests were validated against.  Column count
-        may change (the result row just gets wider or narrower).
+        may change (the result row just gets wider or narrower).  Values
+        are range-checked per hardware call, so a swap that narrows
+        ``input_width`` fails only the queued requests that no longer
+        fit; the rest of their batch runs on the new matrix.
         Reservoir deployments (``deploy_esn``) are refused: a
         :class:`ServedESN` holds reservoir state derived from its
         matrix, so swapping underneath it would corrupt rollouts.
@@ -664,7 +671,8 @@ class MatMulService:
         servers so they skip abandoned work too.  Every shed/expired
         outcome lands in telemetry (``sheds`` / ``quota_rejections`` /
         ``expired``, with per-tenant breakdown) and as a
-        ``request_shed`` flight-recorder event.
+        ``request_shed`` flight-recorder event; any other error (invalid
+        input, a failed batch) counts as ``failed``.
         """
         handle.telemetry.record_arrival()
         if self.admission is not None:
@@ -719,6 +727,10 @@ class MatMulService:
                 # whose propagated budget had died): an admitted request
                 # the service declined to execute.
                 self._shed(handle, tenant, "expired")
+            else:
+                # Invalid input, a failed batch, or a retired
+                # deployment: admitted, but never served.
+                handle.telemetry.record_failure()
             if ctx is not None:
                 self.tracer.record(Span(
                     ctx.trace_id, ctx.span_id, None, "request", start_wall,

@@ -74,12 +74,12 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.bits import signed_range
 from repro.core.plan import plan_matrix
 from repro.core.serialize import array_from_payload, array_to_payload
 from repro.core.tiling import plan_column_tiles
 from repro.hwsim.builder import CompiledCircuit, build_circuit
 from repro.hwsim.fast import FastCircuit, LoweredKernel
+from repro.hwsim.fused import validate_batch
 from repro.serve.cache import CompileCache, compile_key, persist_artifacts
 
 __all__ = [
@@ -483,32 +483,23 @@ class ShardedMultiplier:
 
     # -- execution -----------------------------------------------------------
 
-    def _validate(self, vectors: np.ndarray) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(vectors, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[1] != self.rows:
-            raise ValueError(
-                f"expected vectors of shape (batch, {self.rows}), "
-                f"got {np.asarray(vectors).shape}"
-            )
-        lo, hi = signed_range(self.input_width)
-        if arr.size and (arr.min() < lo or arr.max() > hi):
-            bad = arr[(arr < lo) | (arr > hi)][0]
-            raise ValueError(f"input {bad} does not fit in s{self.input_width}")
-        return arr
-
     def validate_vector(self, vector: np.ndarray) -> None:
-        """Raise ValueError unless ``vector`` is one servable request.
+        """Raise ValueError unless ``vector`` has one request's shape.
 
-        Used by the micro-batcher to reject a malformed request at submit
-        time, before it can be coalesced with (and fail alongside) valid
-        traffic.
+        The micro-batcher's per-request hook: a wrong-shaped (or
+        non-numeric) request is refused at submit, before it is
+        enqueued, so it can never break the stacking of the batch it
+        would have joined.  It is O(1): the value range is checked once
+        per hardware call, over the whole coalesced batch, in
+        :meth:`multiply_batch`.
         """
         arr = np.asarray(vector)
         if arr.ndim != 1 or arr.shape[0] != self.rows:
             raise ValueError(
                 f"expected a vector of length {self.rows}, got shape {arr.shape}"
             )
-        self._validate(arr[None, :])
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"expected a numeric vector, got dtype {arr.dtype}")
 
     def _record(self, shard: Shard, elapsed: float) -> None:
         with self._stats_lock:
@@ -605,7 +596,7 @@ class ShardedMultiplier:
         start = time.perf_counter()
         dispatch = self._dispatch_span(shard, engine, trace)
         try:
-            out = shard.fast.multiply_batch(batch, engine=engine)
+            out = shard.fast.execute(batch, engine)
         finally:
             if dispatch is not None:
                 dispatch.finish()
@@ -694,9 +685,7 @@ class ShardedMultiplier:
                     )
                 if dispatch is not None:
                     dispatch.annotate(local_fallback=True)
-                out = shard.fast.multiply_batch(
-                    batch, engine=engine, overrides=overrides
-                )
+                out = shard.fast.execute(batch, engine, overrides)
         finally:
             if dispatch is not None:
                 dispatch.finish()
@@ -792,16 +781,25 @@ class ShardedMultiplier:
         :class:`~repro.serve.admission.DeadlineExceeded` to every
         request in the batch.  Local backends execute regardless: the
         work is already here and bounded.
+
+        This is where input errors surface for every serving path: the
+        batch is validated once here, by
+        :func:`~repro.hwsim.fused.validate_batch`, before any shard
+        runs.  A wrong shape raises ``ValueError``; values outside
+        ``s{input_width}`` raise
+        :class:`~repro.hwsim.fused.InputRangeError` naming the
+        offending rows, which the micro-batcher uses to fail only those
+        requests.  Local shards then execute the validated batch
+        without re-checking it; process workers and shard servers
+        re-validate at their own process boundary.
         """
-        batch = self._validate(vectors)
+        batch = validate_batch(vectors, self.rows, self.input_width)
         engine = self.resolve_engine(engine)
         with self._inflight_cv:
             self._inflight += 1
         try:
             if batch.shape[0] == 0:
-                pieces = [
-                    s.fast.multiply_batch(batch, engine=engine) for s in self.shards
-                ]
+                pieces = [s.fast.execute(batch, engine) for s in self.shards]
                 return np.concatenate(pieces, axis=1)
             if self.backend == "process":
                 if self.tracer is not None and trace is not None:
@@ -828,6 +826,8 @@ class ShardedMultiplier:
                     for s in self.shards
                 ]
                 pieces = [f.result() for f in futures]
+            if len(pieces) == 1:
+                return pieces[0]
             return np.concatenate(pieces, axis=1)
         finally:
             with self._inflight_cv:

@@ -206,12 +206,15 @@ class DeploymentTelemetry:
         # ``quota_rejections`` the per-tenant token-bucket refusals,
         # ``expired`` the admitted requests whose deadline ran out
         # before execution (dropped at flush or refused by a shard
-        # server).  Together with ``requests`` these reconcile against
-        # offered load exactly: arrivals == requests + sheds +
-        # quota_rejections + expired (+ still in flight).
+        # server), ``failed`` the admitted requests that ended in any
+        # other error (invalid input, a failed batch).  Together with
+        # ``requests`` these reconcile against offered load exactly:
+        # arrivals == requests + sheds + quota_rejections + expired +
+        # failed (+ still in flight).
         self.sheds = 0
         self.quota_rejections = 0
         self.expired = 0
+        self.failed = 0
         self._shed_by_tenant: dict[str, dict[str, int]] = {}
 
     def record_arrival(self, count: int = 1) -> None:
@@ -255,6 +258,11 @@ class DeploymentTelemetry:
                 self.engine_batches[engine] = (
                     self.engine_batches.get(engine, 0) + 1
                 )
+
+    def record_failure(self) -> None:
+        """One admitted request ended in an error other than expiry."""
+        with self._lock:
+            self.failed += 1
 
     def record_swap(self) -> None:
         """One zero-downtime matrix swap flipped routing."""
@@ -324,12 +332,13 @@ class DeploymentTelemetry:
                 "swaps": self.swaps,
                 # Lifetime offered load; with the admission block below
                 # this reconciles exactly: arrivals == requests + sheds
-                # + quota_rejections + expired (+ in flight).
+                # + quota_rejections + expired + failed (+ in flight).
                 "arrivals": self._arrivals.total,
                 "admission": {
                     "sheds": self.sheds,
                     "quota_rejections": self.quota_rejections,
                     "expired": self.expired,
+                    "failed": self.failed,
                     "per_tenant": {
                         tenant: dict(per)
                         for tenant, per in self._shed_by_tenant.items()
